@@ -128,6 +128,11 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if n := e.sched.Len(); n != 0 {
 		return nil, fmt.Errorf("engine: checkpoint with %d pending scheduler callbacks", n)
 	}
+	if e.stretch.pending {
+		// Windows always flush the ranks, so this cannot happen on the
+		// window grid; refuse rather than snapshot half-integrated ranks.
+		return nil, fmt.Errorf("engine: checkpoint with a deferred rank flush pending")
+	}
 	now := e.clock.Now()
 	if now%e.cfg.Window != 0 {
 		return nil, fmt.Errorf("engine: checkpoint at %v, not on the %v window grid", now, e.cfg.Window)

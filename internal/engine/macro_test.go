@@ -129,7 +129,50 @@ func macroScenarios() []macroScenario {
 			},
 			dur: 20 * time.Second,
 		},
+		{
+			// Operating-point changes at off-grid instants: a DVFS pin,
+			// then a RAPL cap, each from a scheduled callback. The ranks
+			// deferred across control periods must be flushed at the old
+			// operating point before either takes effect.
+			name: "scheduled-dvfs-then-cap",
+			setup: mk(func(e *Engine) error {
+				at(e, 1234500*time.Microsecond, func() { e.SetManualDVFS(1800) })
+				at(e, 2678900*time.Microsecond, func() {
+					e.Controller().SetManual(false)
+					if err := rapl.WriteLimit(e.Device(), 95, 10*time.Millisecond); err != nil {
+						panic(err)
+					}
+				})
+				return nil
+			}, func() *workload.Workload { return apps.AMG(apps.DefaultRanks, 20) }),
+			dur: 6 * time.Second,
+		},
+		{
+			// Two workloads under a moving cap: their boundaries and the
+			// shared operating point both cut the deferred stretch.
+			name: "multi-workload-step",
+			setup: func(cfg Config) (*Engine, error) {
+				e, err := NewMulti(cfg, apps.AMG(12, 12), apps.LAMMPS(12, 120))
+				if err != nil {
+					return nil, err
+				}
+				return e, e.SetScheme(policy.Step{HighW: 130, LowW: 85, HighFor: 1500 * time.Millisecond, LowFor: 2 * time.Second})
+			},
+			dur: 10 * time.Second,
+		},
 	}
+}
+
+// at schedules fn at instant t on e's scheduler. A forked engine built by
+// the same setup re-schedules callbacks whose instants it has already
+// passed; they fire at the resume instant, where they are skipped,
+// because their effect is already part of the checkpoint.
+func at(e *Engine, t time.Duration, fn func()) {
+	e.Scheduler().At(t, func(time.Duration) {
+		if e.Clock().Now() == t {
+			fn()
+		}
+	})
 }
 
 // TestMacroMatchesFixedTick is the engine-level differential bar: for

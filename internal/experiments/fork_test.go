@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"progresscap/internal/apps"
+	"progresscap/internal/engine"
 	"progresscap/internal/fault"
 	"progresscap/internal/policy"
+	"progresscap/internal/rapl"
 	"progresscap/internal/spec"
 	"progresscap/internal/workload"
 )
@@ -149,6 +151,99 @@ func TestForkedRunMatchesScratch(t *testing.T) {
 				t.Errorf("target did not fork from the pooled prefix (hits %d -> %d)", before.ForkHits, after.ForkHits)
 			}
 			if got := res.Signature(); got != want {
+				t.Errorf("forked signature diverges from scratch:\nfork:    %s\nscratch: %s", got, want)
+			}
+		})
+	}
+
+	// Mid-run actuations from scheduled callbacks and multi-workload
+	// nodes are not expressible as a RunSpec, so these cases fork through
+	// the pool's primitive directly: a whole-second Checkpoint resumed
+	// onto a freshly built engine. Both change the operating point while
+	// rank flushes are deferred across control periods.
+	engineCases := []struct {
+		name       string
+		build      func() (*engine.Engine, error)
+		depth, dur time.Duration
+	}{
+		{
+			name: "scheduled-dvfs-then-cap",
+			build: func() (*engine.Engine, error) {
+				e, err := engine.New(engine.DefaultConfig(), mkAMG())
+				if err != nil {
+					return nil, err
+				}
+				// A rebuilt engine re-schedules both callbacks; they fire at
+				// the resume instant and are skipped there, because their
+				// effect is already in the checkpoint.
+				at := func(t time.Duration, fn func()) {
+					e.Scheduler().At(t, func(time.Duration) {
+						if e.Clock().Now() == t {
+							fn()
+						}
+					})
+				}
+				at(1234500*time.Microsecond, func() { e.SetManualDVFS(1800) })
+				at(2678900*time.Microsecond, func() {
+					e.Controller().SetManual(false)
+					if err := rapl.WriteLimit(e.Device(), 95, 10*time.Millisecond); err != nil {
+						panic(err)
+					}
+				})
+				return e, nil
+			},
+			depth: 3 * time.Second,
+			dur:   7 * time.Second,
+		},
+		{
+			name: "multi-workload-capped",
+			build: func() (*engine.Engine, error) {
+				e, err := engine.NewMulti(engine.DefaultConfig(), apps.AMG(12, 12), apps.LAMMPS(12, 120))
+				if err != nil {
+					return nil, err
+				}
+				return e, e.SetScheme(step(85))
+			},
+			depth: 4 * time.Second,
+			dur:   9 * time.Second,
+		},
+	}
+	for _, tc := range engineCases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *engine.Engine {
+				e, err := tc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			res, err := build().Run(tc.dur)
+			if err != nil {
+				t.Fatalf("scratch run: %v", err)
+			}
+			donor := build()
+			if err := donor.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := donor.Advance(tc.depth); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := donor.Checkpoint()
+			if err != nil {
+				t.Fatalf("checkpoint at %v: %v", tc.depth, err)
+			}
+			forked := build()
+			if err := forked.Resume(ck); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := forked.Advance(tc.dur - tc.depth); err != nil {
+				t.Fatal(err)
+			}
+			fres, err := forked.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fres.Signature(), res.Signature(); got != want {
 				t.Errorf("forked signature diverges from scratch:\nfork:    %s\nscratch: %s", got, want)
 			}
 		})
