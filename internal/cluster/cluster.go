@@ -16,10 +16,12 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"progresscap/internal/engine"
 	"progresscap/internal/fault"
+	"progresscap/internal/msr"
 	"progresscap/internal/rapl"
 	"progresscap/internal/stats"
 	"progresscap/internal/trace"
@@ -481,6 +483,7 @@ func (m *Manager) Step() (bool, error) {
 				caps[i] = m.cfg.QuarantineCapW
 			}
 		}
+		floorCaps(caps)
 	}
 	for i, n := range m.nodes {
 		n.capW = caps[i]
@@ -687,5 +690,18 @@ func clampCaps(caps []float64, budgetW float64) {
 	scale := budgetW / sum
 	for i := range caps {
 		caps[i] *= scale
+	}
+}
+
+// floorCaps floors each cap to the RAPL register power unit. The
+// register encodes a cap by rounding to the nearest unit, so an
+// unrepresentable cap would latch up to half a unit above its share —
+// over a fleet, enough for the registers to sum past the budget the
+// division respects. Floored, every register holds exactly its cap, as
+// the leased grants do.
+func floorCaps(caps []float64) {
+	unit := msr.DefaultUnits().PowerUnit()
+	for i, c := range caps {
+		caps[i] = math.Floor(c/unit) * unit
 	}
 }

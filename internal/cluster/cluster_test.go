@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -254,5 +255,71 @@ func TestManagerTimeLimit(t *testing.T) {
 	}
 	if res.Elapsed > 6*time.Second {
 		t.Fatalf("elapsed %v past limit", res.Elapsed)
+	}
+}
+
+// TestManagerRegisterCapsWithinBudget pins the register-level budget
+// invariant of the Manager: the caps the registers actually latch —
+// decoded back from PKG_POWER_LIMIT — sum to no more than the budget
+// after every capped epoch, for every division policy. The budget is
+// chosen so that the per-node shares are not multiples of the register
+// power unit.
+func TestManagerRegisterCapsWithinBudget(t *testing.T) {
+	const (
+		nodes   = 64
+		epochs  = 5
+		budgetW = 53.34 * nodes
+	)
+	policies := []Policy{
+		EqualSplit{},
+		ProgressAware{Gain: 3},
+		Throughput{},
+		BinPackSortedWatts{},
+		MaxGreedyMins{},
+	}
+	for _, pol := range policies {
+		t.Run(pol.Name(), func(t *testing.T) {
+			ns := make([]*Node, nodes)
+			for i := range ns {
+				// The coarse fleet plant: 1 ms tick, 20 ms RAPL control.
+				cfg := engine.DefaultConfig()
+				cfg.Seed = uint64(i)*7919 + 1
+				cfg.Tick = time.Millisecond
+				cfg.RAPL.ControlPeriod = 20 * time.Millisecond
+				cfg.RAPL.DemandTau = 100 * time.Millisecond
+				cfg.Power.CoreDynMaxW *= 1 + 0.3*float64(i%7)/7
+				e, err := engine.New(cfg, apps.LAMMPS(4, 1000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ns[i] = NewNode(fmt.Sprintf("n%02d", i), e)
+			}
+			m, err := NewManager(pol, ConstantBudget(budgetW), ns...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ep := 0; ep < epochs; ep++ {
+				if _, err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if ep < m.UncappedEpochs {
+					continue
+				}
+				var latched float64
+				for i, s := range m.Statuses() {
+					pl1, err := ns[i].eng.Controller().Limit()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pl1.Watts != s.CapW {
+						t.Fatalf("epoch %d: %s register holds %v W, status cap %v W", ep, s.Name, pl1.Watts, s.CapW)
+					}
+					latched += pl1.Watts
+				}
+				if latched > budgetW {
+					t.Fatalf("epoch %d: registers latch %.4f W over the %.2f W budget", ep, latched, budgetW)
+				}
+			}
+		})
 	}
 }

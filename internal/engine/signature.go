@@ -9,6 +9,14 @@ import (
 	"progresscap/internal/trace"
 )
 
+// ResultVersion identifies the engine's result semantics. Run
+// fingerprints carry it, so a change that moves any Result bit of an
+// unchanged run must bump it: every disk-cached result and pooled
+// checkpoint computed under the old semantics then misses instead of
+// aliasing the new one. Version 2: rank flushes are deferred across
+// RAPL control boundaries.
+const ResultVersion = 2
+
 // Signature flattens every observable field of the Result — scalars, all
 // per-window samples, every trace point, counter deltas, drop accounting —
 // into one string, bit-exact for floats (%b formatting). Two runs are

@@ -6,8 +6,10 @@ package experiments
 // run fingerprint (workload construction, operating point, seed,
 // duration, mode flags, fault plan — see spec.RunFingerprint), a cached
 // entry is valid for exactly as long as the simulation it names is
-// byte-identical; any change to engine semantics must bump spec.Version
-// to invalidate the cache wholesale.
+// byte-identical; any change to engine semantics must bump
+// engine.ResultVersion, which keys every fingerprint, to invalidate the
+// cache wholesale. The scenario schema version (spec.Version) stays put,
+// so soak corpus files and scenario hashes survive such a bump.
 
 import (
 	"encoding/json"

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"progresscap/internal/engine"
 	"progresscap/internal/fault"
 )
 
@@ -68,6 +69,44 @@ func TestDiskCacheCrossInvocation(t *testing.T) {
 	}
 	if st := r2.Stats(); st.Executed != 1 || st.DiskHits != 1 {
 		t.Fatalf("stats after distinct spec: %+v", st)
+	}
+}
+
+// TestDiskCacheRejectsOldResultVersion: an entry written before the
+// engine's result semantics changed (under the previous
+// engine.ResultVersion) is a cache miss; the run executes again.
+func TestDiskCacheRejectsOldResultVersion(t *testing.T) {
+	dir := t.TempDir()
+	rs := mkSampleSpec(1, 95)
+
+	r1 := NewRunner(1)
+	if err := r1.EnableDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r1.Do(rs); err != nil {
+		t.Fatal(err)
+	}
+	// Re-file the entry under the key the previous version computed.
+	_, fp := rs.fingerprint()
+	cur := filepath.Join(dir, fp.Hash()+".json")
+	fp.Version = engine.ResultVersion - 1
+	old := filepath.Join(dir, fp.Hash()+".json")
+	if old == cur {
+		t.Fatal("result version does not key the fingerprint")
+	}
+	if err := os.Rename(cur, old); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := NewRunner(1)
+	if err := r2.EnableDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.Do(rs); err != nil {
+		t.Fatal(err)
+	}
+	if st := r2.Stats(); st.Executed != 1 || st.DiskHits != 0 {
+		t.Fatalf("old-version entry served: %+v", st)
 	}
 }
 

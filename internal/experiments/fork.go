@@ -208,7 +208,7 @@ func newForkBase(rs RunSpec) forkBase {
 // key returns the pool key for this run's prefix at depth whole seconds.
 func (b forkBase) key(depth int) string {
 	fp := prefixFingerprint{
-		Version:    spec.Version,
+		Version:    engine.ResultVersion,
 		Workload:   b.workload,
 		Seed:       b.rs.Seed,
 		Invariants: b.rs.Invariants,

@@ -92,9 +92,15 @@ func (s RunSpec) operatingKey() string {
 // names the run in the shared disk cache, so suite runs and CI converge
 // on one copy of each result.
 func (s RunSpec) key() string {
+	name, fp := s.fingerprint()
+	return fmt.Sprintf("%s/%s", name, fp.Hash())
+}
+
+// fingerprint returns the workload's name and the run's fingerprint.
+func (s RunSpec) fingerprint() (string, spec.RunFingerprint) {
 	w := s.Make()
 	fp := spec.RunFingerprint{
-		Version:    spec.Version,
+		Version:    engine.ResultVersion,
 		Workload:   spec.FingerprintWorkload(w),
 		Operating:  s.operatingKey(),
 		Seed:       s.Seed,
@@ -107,7 +113,7 @@ func (s RunSpec) key() string {
 		fp.Faults = &plan
 	}
 	fp.Backend = s.backend()
-	return fmt.Sprintf("%s/%s", w.Name, fp.Hash())
+	return w.Name, fp
 }
 
 // runEntry is one memoized run: created exactly once per key, its done

@@ -77,6 +77,8 @@ func FingerprintWorkload(w *workload.Workload) WorkloadFP {
 // computed serially, so the disk cache stays valid across machines.
 // TestRunFingerprintFieldSet pins the exact field set.
 type RunFingerprint struct {
+	// Version is the engine's result version (engine.ResultVersion),
+	// not the scenario schema version.
 	Version  int        `json:"version"`
 	Workload WorkloadFP `json:"workload"`
 	// Operating is a rendered operating point: "dvfs:<mhz>",
