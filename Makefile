@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff profile experiments figures clean
+.PHONY: all verify fmt build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff profile profile-capped experiments figures clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
@@ -112,6 +112,14 @@ profile:
 	mkdir -p out
 	$(GO) run ./cmd/experiments -cpuprofile out/cpu.pprof -memprofile out/mem.pprof > /dev/null
 	@echo "profiles written to out/cpu.pprof and out/mem.pprof"
+
+# CPU profile of the capped engine (BenchmarkEngineTicksCapped: LAMMPS
+# under a constant 110 W cap, RAPL's 1 ms loop never quiescent), the
+# starting point for capped-path work. `go tool pprof out/capped.pprof`.
+profile-capped:
+	mkdir -p out
+	$(GO) test -run '^$$' -bench EngineTicksCapped -cpuprofile out/capped.pprof -o out/progresscap.test .
+	@echo "profile written to out/capped.pprof"
 
 # Regenerate every table and figure as text.
 experiments:

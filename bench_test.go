@@ -14,10 +14,12 @@ import (
 	"progresscap/internal/apps"
 	"progresscap/internal/cluster"
 	"progresscap/internal/counters"
+	"progresscap/internal/cpu"
 	"progresscap/internal/engine"
 	"progresscap/internal/experiments"
 	"progresscap/internal/msr"
 	"progresscap/internal/policy"
+	"progresscap/internal/power"
 	"progresscap/internal/powercap"
 	"progresscap/internal/pubsub"
 	"progresscap/internal/rapl"
@@ -445,6 +447,58 @@ func BenchmarkModelPredict(b *testing.B) {
 		sink += m.PredictDelta(60 + float64(i%100))
 	}
 	_ = sink
+}
+
+// BenchmarkRAPLControlPeriod prices one 1 ms RAPL control period, the
+// unit of work behind every capped figure: one Observe plus one Control
+// on a controller regulating a STREAM-like, bandwidth-bound state at
+// 100 W, warmed up until the P-state dithers between neighbours. The
+// dither-rate metric (P-state changes per period) shows the publish path
+// is exercised; the period must not allocate.
+func BenchmarkRAPLControlPeriod(b *testing.B) {
+	cfg := cpu.DefaultConfig()
+	dev := msr.NewDevice(cfg.Cores, nil)
+	domain, err := cpu.NewDomain(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	uncore := cpu.NewUncore()
+	model := power.DefaultModel()
+	meter := power.NewMeter(model, 0.010)
+	ctl, err := rapl.New(dev, domain, uncore, model, meter, rapl.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rapl.WriteLimit(dev, 100, 10*time.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	const activity, bwDemand = 0.35, 0.9
+	changes := 0
+	period := func() {
+		s := power.NodeState{
+			EngagedCores: cfg.Cores,
+			FreqMHz:      domain.CurrentMHz(),
+			Duty:         domain.Duty(),
+			Activity:     activity,
+			BWUtil:       stats.Clamp(bwDemand/uncore.BWScale(), 0, 1),
+			BWScale:      uncore.BWScale(),
+		}
+		ctl.Observe(s, time.Millisecond)
+		ctl.Control()
+		if domain.CurrentMHz() != s.FreqMHz {
+			changes++
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		period()
+	}
+	changes = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		period()
+	}
+	b.ReportMetric(float64(changes)/float64(b.N), "pstate-changes/op")
 }
 
 // BenchmarkActuationRetry measures a hardened cap write through the

@@ -547,6 +547,8 @@ func TestEngineStateInventory(t *testing.T) {
 			exempt: map[string]string{
 				"model":  "construction configuration",
 				"tauSec": "construction configuration",
+				"fTerms": "memo keyed on its input, recomputed on miss",
+				"decay":  "memo keyed on its input, recomputed on miss",
 			},
 		},
 		{
@@ -567,6 +569,8 @@ func TestEngineStateInventory(t *testing.T) {
 				"units":     "construction configuration (decoded once from the unit register)",
 				"published": "publish hint; Restore drops it and the next Control republishes the identical ratio",
 				"lastRatio": "publish hint; Restore drops it and the next Control republishes the identical ratio",
+				"minTerm":   "derived at construction from the model and the domain's MinMHz",
+				"decay":     "memo keyed on its input, recomputed on miss",
 			},
 		},
 		{

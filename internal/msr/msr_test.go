@@ -114,6 +114,24 @@ func TestDevicePokeBypassesWhitelist(t *testing.T) {
 	}
 }
 
+func TestDevicePokeAllCores(t *testing.T) {
+	d := NewDevice(4, nil)
+	d.PokeAllCores(PerfStatus, RatioFromMHz(2100))
+	for cpu := 0; cpu < d.Cores(); cpu++ {
+		v, err := d.ReadCore(cpu, PerfStatus)
+		if err != nil || MHzFromRatio(v) != 2100 {
+			t.Fatalf("core %d PerfStatus = %v, %v", cpu, v, err)
+		}
+	}
+	d.PokeAllCores(PkgEnergyStatus, 777)
+	if v, err := d.ReadCore(3, PkgEnergyStatus); err != nil || v != 777 {
+		t.Fatalf("package register via core 3 = %v, %v", v, err)
+	}
+	if w, _ := d.Counts(); w != 0 {
+		t.Fatalf("pokes counted as %d policy writes", w)
+	}
+}
+
 func TestDeviceCounts(t *testing.T) {
 	d := NewDevice(1, nil)
 	_, _ = d.Read(RaplPowerUnit)

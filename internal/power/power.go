@@ -97,15 +97,33 @@ func (m Model) CorePowerPerCore(fMHz, duty, a float64, engaged bool) float64 {
 	if !engaged {
 		return m.CoreStaticW
 	}
-	rel := fMHz / m.RefMHz
-	return m.CoreStaticW + m.CoreDynMaxW*duty*m.ActivityFactor(a)*math.Pow(rel, m.AlphaHW)
+	return m.corePowerPerCoreAt(m.FreqTerm(fMHz), duty, a)
+}
+
+// FreqTerm returns the frequency factor (f/f_ref)^α of dynamic core
+// power. It depends on the frequency alone, so callers that evaluate the
+// model repeatedly at a few P-states compute it once per P-state and
+// pass it to the *At variants, which give bit-identical results.
+func (m Model) FreqTerm(fMHz float64) float64 {
+	return math.Pow(fMHz/m.RefMHz, m.AlphaHW)
+}
+
+// corePowerPerCoreAt is CorePowerPerCore for an engaged core, given
+// fTerm = FreqTerm(f).
+func (m Model) corePowerPerCoreAt(fTerm, duty, a float64) float64 {
+	return m.CoreStaticW + m.CoreDynMaxW*duty*m.ActivityFactor(a)*fTerm
 }
 
 // CorePower returns total core-component power for n engaged cores (all at
 // the same package frequency/duty, with mean activity a) plus idle static
 // draw for the remaining idleCores.
 func (m Model) CorePower(nEngaged int, idleCores int, fMHz, duty, a float64) float64 {
-	p := float64(nEngaged) * m.CorePowerPerCore(fMHz, duty, a, true)
+	return m.CorePowerAt(nEngaged, idleCores, m.FreqTerm(fMHz), duty, a)
+}
+
+// CorePowerAt is CorePower given fTerm = FreqTerm(f).
+func (m Model) CorePowerAt(nEngaged int, idleCores int, fTerm, duty, a float64) float64 {
+	p := float64(nEngaged) * m.corePowerPerCoreAt(fTerm, duty, a)
 	p += float64(idleCores) * m.CoreStaticW
 	return p
 }
@@ -185,8 +203,13 @@ func (b Breakdown) PkgW() float64 { return b.CoreW + b.UncoreW }
 
 // Power evaluates the model at a node state.
 func (m Model) Power(s NodeState) Breakdown {
+	return m.powerAt(s, m.FreqTerm(s.FreqMHz))
+}
+
+// powerAt is Power given fTerm = FreqTerm(s.FreqMHz).
+func (m Model) powerAt(s NodeState, fTerm float64) Breakdown {
 	return Breakdown{
-		CoreW:   m.CorePower(s.EngagedCores, s.IdleCores, s.FreqMHz, s.Duty, s.Activity),
+		CoreW:   m.CorePowerAt(s.EngagedCores, s.IdleCores, fTerm, s.Duty, s.Activity),
 		UncoreW: m.UncorePower(s.BWUtil, s.BWScale),
 		DRAMW:   m.DRAMPower(s.BWUtil, s.BWScale),
 	}
@@ -205,6 +228,38 @@ type Meter struct {
 	uncoreJ float64
 	dramJ   float64
 	lastBrk Breakdown
+
+	// Memos of pure functions of their keys, never snapshot state: the
+	// frequency term per P-state, and the EWMA decay for the last
+	// interval length (almost always one RAPL control period).
+	fTerms freqTermMemo
+	decay  struct {
+		dtSec, v float64
+		ok       bool
+	}
+}
+
+// freqTermMemo memoizes Model.FreqTerm, direct-mapped on the integral
+// MHz. Slots are 31 so that any run of 31 consecutive P-states on a
+// step that is not a multiple of 31 MHz (100 MHz on every modelled part)
+// lands in distinct slots; any other frequency is still exact, it only
+// shares a slot.
+type freqTermMemo [31]struct {
+	mhz, term float64
+	ok        bool
+}
+
+// get returns m.FreqTerm(fMHz).
+func (ft *freqTermMemo) get(m *Model, fMHz float64) float64 {
+	i := int64(fMHz) % int64(len(ft))
+	if i < 0 {
+		i += int64(len(ft))
+	}
+	slot := &ft[i]
+	if !slot.ok || slot.mhz != fMHz {
+		slot.mhz, slot.term, slot.ok = fMHz, m.FreqTerm(fMHz), true
+	}
+	return slot.term
 }
 
 // NewMeter returns a meter using the model with the given averaging time
@@ -221,7 +276,7 @@ func (mt *Meter) Observe(s NodeState, dtSec float64) Breakdown {
 	if dtSec < 0 {
 		panic("power: negative observation interval")
 	}
-	b := mt.model.Power(s)
+	b := mt.model.powerAt(s, mt.fTerms.get(&mt.model, s.FreqMHz))
 	mt.lastBrk = b
 	mt.energyJ += b.PkgW() * dtSec
 	mt.coreJ += b.CoreW * dtSec
@@ -232,8 +287,11 @@ func (mt *Meter) Observe(s NodeState, dtSec float64) Breakdown {
 		mt.havePkg = true
 	} else {
 		// EWMA with per-step decay exp(-dt/tau).
-		decay := math.Exp(-dtSec / mt.tauSec)
-		mt.avgPkgW = mt.avgPkgW*decay + b.PkgW()*(1-decay)
+		d := &mt.decay
+		if !d.ok || d.dtSec != dtSec {
+			d.dtSec, d.v, d.ok = dtSec, math.Exp(-dtSec/mt.tauSec), true
+		}
+		mt.avgPkgW = mt.avgPkgW*d.v + b.PkgW()*(1-d.v)
 	}
 	return b
 }

@@ -225,3 +225,73 @@ func TestMeterPanicsOnBadInput(t *testing.T) {
 		NewMeter(DefaultModel(), 1).Observe(NodeState{}, -1)
 	}()
 }
+
+// TestMeterMatchesModelPower pins the meter's memoized frequency term and
+// EWMA decay to an unmemoized reference, bit for bit: every P-state (and
+// off-grid frequencies that share memo slots with them) × duty ×
+// activity, with the interval alternating so the decay memo both hits
+// and misses, and with the meter periodically replaced by a fresh one
+// restored from a snapshot, whose memos start cold.
+func TestMeterMatchesModelPower(t *testing.T) {
+	m := DefaultModel()
+	const tau = 0.010
+	freqs := []float64{1031, 1234.5, 3331}
+	for f := 1000.0; f <= 3300; f += 100 {
+		freqs = append(freqs, f)
+	}
+	dts := []float64{0.001, 0.00037, 0.001}
+
+	mt := NewMeter(m, tau)
+	var refAvg float64
+	refHave := false
+	step := 0
+	for _, f := range freqs {
+		for _, duty := range []float64{1.0 / 16, 0.5, 1} {
+			for _, act := range []float64{0, 0.37, 1} {
+				// Dither against the minimum P-state, as a capped
+				// controller does between neighbouring P-states.
+				for _, fq := range []float64{f, 1000, f} {
+					s := NodeState{
+						EngagedCores: 20, IdleCores: 4, FreqMHz: fq, Duty: duty,
+						Activity: act, BWUtil: 0.4, BWScale: 0.8,
+					}
+					dt := dts[step%len(dts)]
+					step++
+
+					want := m.Power(s)
+					coreW := float64(s.EngagedCores)*(m.CoreStaticW+
+						m.CoreDynMaxW*duty*m.ActivityFactor(act)*math.Pow(fq/m.RefMHz, m.AlphaHW)) +
+						float64(s.IdleCores)*m.CoreStaticW
+					if math.Float64bits(want.CoreW) != math.Float64bits(coreW) {
+						t.Fatalf("Model.Power core %v != closed form %v at %+v", want.CoreW, coreW, s)
+					}
+					if !refHave {
+						refAvg, refHave = want.PkgW(), true
+					} else {
+						d := math.Exp(-dt / tau)
+						refAvg = refAvg*d + want.PkgW()*(1-d)
+					}
+
+					got := mt.Observe(s, dt)
+					if !sameBits(got, want) || !sameBits(mt.Last(), want) {
+						t.Fatalf("step %d: Observe = %+v, want %+v at %+v", step, got, want, s)
+					}
+					if math.Float64bits(mt.AvgPkgW()) != math.Float64bits(refAvg) {
+						t.Fatalf("step %d: AvgPkgW = %v, want %v", step, mt.AvgPkgW(), refAvg)
+					}
+					if step%50 == 0 {
+						fresh := NewMeter(m, tau)
+						fresh.Restore(mt.Snapshot())
+						mt = fresh
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b Breakdown) bool {
+	return math.Float64bits(a.CoreW) == math.Float64bits(b.CoreW) &&
+		math.Float64bits(a.UncoreW) == math.Float64bits(b.UncoreW) &&
+		math.Float64bits(a.DRAMW) == math.Float64bits(b.DRAMW)
+}

@@ -107,6 +107,14 @@ type Controller struct {
 	published bool
 	lastRatio uint64
 
+	// minTerm is the model's frequency term at the domain's minimum
+	// P-state, fixed at construction; decay memoizes the EWMA decays for
+	// the last Observe interval, which is one control period for almost
+	// every event. Both are pure functions of their inputs, so neither is
+	// snapshot state.
+	minTerm float64
+	decay   decayMemo
+
 	// Deadman state (nil = disarmed): see deadman.go.
 	deadman      *Deadman
 	armSeq       uint64
@@ -118,6 +126,24 @@ type Controller struct {
 // fastTau is the time constant of the PL2 burst average (real PL2
 // windows are on the order of milliseconds).
 const fastTau = 2 * time.Millisecond
+
+// decayMemo holds the burst and demand EWMA decays for one interval.
+type decayMemo struct {
+	dt           time.Duration
+	fast, demand float64
+	ok           bool
+}
+
+// decays returns exp(-dt/fastTau) and exp(-dt/DemandTau).
+func (c *Controller) decays(dt time.Duration) (fast, demand float64) {
+	m := &c.decay
+	if !m.ok || m.dt != dt {
+		m.dt, m.ok = dt, true
+		m.fast = math.Exp(-dt.Seconds() / fastTau.Seconds())
+		m.demand = math.Exp(-dt.Seconds() / c.opts.DemandTau.Seconds())
+	}
+	return m.fast, m.demand
+}
 
 // New wires a controller to its hardware. The meter's averaging constant
 // is the RAPL window; the PKG_POWER_LIMIT window field is informational
@@ -144,6 +170,7 @@ func New(dev *msr.Device, domain *cpu.Domain, uncore *cpu.Uncore, model power.Mo
 		units:      u,
 		energy:     msr.NewEnergyCounter(u),
 		dramEnergy: msr.NewEnergyCounter(u),
+		minTerm:    model.FreqTerm(domain.Config().MinMHz),
 	}, nil
 }
 
@@ -177,12 +204,12 @@ func (c *Controller) Observe(s power.NodeState, dt time.Duration) power.Breakdow
 	c.dramEnergy.AddJoules(b.DRAMW * dt.Seconds())
 	c.dev.Poke(msr.DramEnergyStatus, c.dramEnergy.Raw())
 
+	fastDecay, decay := c.decays(dt)
 	if !c.fastSeeded {
 		c.fastAvgW = b.PkgW()
 		c.fastSeeded = true
 	} else {
-		decay := math.Exp(-dt.Seconds() / fastTau.Seconds())
-		c.fastAvgW = c.fastAvgW*decay + b.PkgW()*(1-decay)
+		c.fastAvgW = c.fastAvgW*fastDecay + b.PkgW()*(1-fastDecay)
 	}
 
 	if !c.seeded {
@@ -193,7 +220,6 @@ func (c *Controller) Observe(s power.NodeState, dt time.Duration) power.Breakdow
 		c.seeded = true
 		return b
 	}
-	decay := math.Exp(-dt.Seconds() / c.opts.DemandTau.Seconds())
 	blend := func(old, new float64) float64 { return old*decay + new*(1-decay) }
 	c.engaged = blend(c.engaged, float64(s.EngagedCores))
 	c.idle = blend(c.idle, float64(s.IdleCores))
@@ -301,7 +327,7 @@ func (c *Controller) enforce(capW float64) {
 
 	// Step 2: if the core floor (minimum P-state, full duty) still does
 	// not fit, squeeze uncore bandwidth further to make room.
-	coreFloorW := c.model.CorePower(nEng, nIdle, cfg.MinMHz, 1, act)
+	coreFloorW := c.model.CorePowerAt(nEng, nIdle, c.minTerm, 1, act)
 	if coreBudget < coreFloorW && nEng > 0 {
 		uncoreDynBudget := capW - coreFloorW - c.model.UncoreStaticW
 		switch {
@@ -333,8 +359,7 @@ func (c *Controller) enforce(capW float64) {
 		c.domain.SetDuty(1)
 	} else {
 		static := float64(nEng+nIdle) * c.model.CoreStaticW
-		dynAtMin := float64(nEng) * c.model.CoreDynMaxW * c.model.ActivityFactor(act) *
-			math.Pow(cfg.MinMHz/c.model.RefMHz, c.model.AlphaHW)
+		dynAtMin := float64(nEng) * c.model.CoreDynMaxW * c.model.ActivityFactor(act) * c.minTerm
 		duty := 1.0
 		if dynAtMin > 0 {
 			duty = (coreBudget - static) / dynAtMin
@@ -342,7 +367,7 @@ func (c *Controller) enforce(capW float64) {
 		c.domain.SetDuty(stats.Clamp(duty, 1.0/16, 1))
 	}
 
-	// Step 4: integral trim against the measured running average.
+	// Step 5: integral trim against the measured running average.
 	errW := capW - c.meter.AvgPkgW()
 	c.trimW = stats.Clamp(c.trimW+c.opts.TrimGain*errW, -c.opts.TrimLimitW, c.opts.TrimLimitW)
 }
@@ -392,18 +417,16 @@ func (c *Controller) boundedness(act, maxMHz float64) float64 {
 // PublishStatus reflects the operating point into the per-core
 // IA32_PERF_STATUS registers. Control calls it every period; whoever
 // moves the domain outside Control (a manual DVFS pin, a throttle
-// ceiling) calls it too. The ratio rarely changes between periods, so
-// the per-core pokes run only when it differs from the one last
-// published.
+// ceiling) calls it too. Only a ratio that differs from the one last
+// published is written, into every core at once under a single device
+// lock (msr.Device.PokeAllCores).
 func (c *Controller) PublishStatus() {
 	ratio := msr.RatioFromMHz(c.domain.CurrentMHz())
 	if c.published && ratio == c.lastRatio {
 		return
 	}
 	c.published, c.lastRatio = true, ratio
-	for cpuIdx := 0; cpuIdx < c.dev.Cores(); cpuIdx++ {
-		c.dev.PokeCore(cpuIdx, msr.PerfStatus, ratio)
-	}
+	c.dev.PokeAllCores(msr.PerfStatus, ratio)
 }
 
 // WriteLimit is the policy-side helper: it encodes and writes the package
