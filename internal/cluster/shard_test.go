@@ -203,6 +203,43 @@ func TestEpochSeriesAligned(t *testing.T) {
 			t.Fatalf("leased min-progress epoch %d stamped %v, want %v", i, got, want)
 		}
 	}
+
+	// System: each job's granted budget is stamped at the end of the
+	// system epoch it was in force for, and carries the budget its
+	// manager recorded for that epoch. The job arriving at epoch 0 runs
+	// on the system clock, so its stamps match its manager's exactly.
+	early := newManagerForJob(t, 900, 1, 1)
+	late := newManagerForJob(t, 900, 11, 1)
+	sys, err := NewSystem(300,
+		NewSystemJob("early", 1, 60, 0, early),
+		NewSystemJob("late", 2, 60, 2, late))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sys.Run(epochs * Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range sys.jobs {
+		bt, mbt := j.BudgetTrace(), results[j.Name].BudgetTrace
+		if bt.Len() != epochs-j.StartEpoch || mbt.Len() != bt.Len() {
+			t.Fatalf("job %s: %d system budgets, %d manager budgets, want %d",
+				j.Name, bt.Len(), mbt.Len(), epochs-j.StartEpoch)
+		}
+		for i := 0; i < bt.Len(); i++ {
+			want := time.Duration(j.StartEpoch+i+1) * Epoch
+			if got := bt.At(i).T; got != want {
+				t.Fatalf("job %s budget %d stamped %v, want %v", j.Name, i, got, want)
+			}
+			if bt.At(i).V != mbt.At(i).V {
+				t.Fatalf("job %s budget %d: system granted %v W, manager recorded %v W",
+					j.Name, i, bt.At(i).V, mbt.At(i).V)
+			}
+			if j.StartEpoch == 0 && mbt.At(i).T != want {
+				t.Fatalf("job %s manager budget %d stamped %v, want %v", j.Name, i, mbt.At(i).T, want)
+			}
+		}
+	}
 }
 
 // TestShardPoolErrorOrder proves error reporting is schedule-

@@ -124,7 +124,9 @@ func (s *System) Run(maxDur time.Duration) (map[string]*Result, error) {
 			}
 			j.arrived = true
 			b := budgets[j]
-			j.budgetTrace.Add(time.Duration(epoch)*Epoch, b)
+			// Stamped at the epoch's end instant, like the job manager's
+			// own per-epoch series.
+			j.budgetTrace.Add(time.Duration(epoch+1)*Epoch, b)
 			j.mgr.SetBudgetOverride(b)
 			done, err := j.mgr.Step()
 			if err != nil {
