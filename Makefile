@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff profile profile-capped experiments figures clean
+.PHONY: all verify fmt build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff profile profile-capped experiments figures same-output clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
@@ -128,6 +128,26 @@ experiments:
 # Regenerate everything with CSV data and SVG figures under out/.
 figures:
 	$(GO) run ./cmd/experiments -csv out -svg out
+
+# Prove a change leaves every rendered artifact as it was: build
+# cmd/experiments from REF (exported with git archive under out/) and
+# from the working tree, run both with -csv and -svg into separate
+# directories, then compare stdout byte for byte and the artifact trees
+# recursively. stderr carries wall times and is left out.
+#   make same-output REF=<commit>
+SAME_DIR := out/same-output
+same-output:
+	@test -n "$(REF)" || { echo "usage: make same-output REF=<commit>"; exit 2; }
+	rm -rf $(SAME_DIR)
+	mkdir -p $(SAME_DIR)/src $(SAME_DIR)/ref $(SAME_DIR)/head
+	git archive $(REF) | tar -x -C $(SAME_DIR)/src
+	cd $(SAME_DIR)/src && $(GO) build -o ../experiments-ref ./cmd/experiments
+	$(GO) build -o $(SAME_DIR)/experiments-head ./cmd/experiments
+	$(SAME_DIR)/experiments-ref -csv $(SAME_DIR)/ref -svg $(SAME_DIR)/ref > $(SAME_DIR)/ref.stdout 2> /dev/null
+	$(SAME_DIR)/experiments-head -csv $(SAME_DIR)/head -svg $(SAME_DIR)/head > $(SAME_DIR)/head.stdout 2> /dev/null
+	cmp $(SAME_DIR)/ref.stdout $(SAME_DIR)/head.stdout
+	diff -r $(SAME_DIR)/ref $(SAME_DIR)/head
+	@echo "same-output: stdout ($$(wc -l < $(SAME_DIR)/head.stdout) lines) and $$(ls $(SAME_DIR)/head | wc -l) CSV/SVG files identical to $(REF)"
 
 clean:
 	rm -rf out
