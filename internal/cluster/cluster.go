@@ -11,17 +11,16 @@
 // a running baseline estimate), asks its division policy for new
 // per-node caps under the current job budget, and programs them through
 // each node's whitelisted MSR interface — exactly the interposition
-// point a real NRM uses.
+// point a real NRM uses. That direct Manager and the replicated,
+// lease-based LeasedCluster (leased.go) are two delivery strategies on
+// one epoch core (core.go).
 package cluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"progresscap/internal/engine"
 	"progresscap/internal/fault"
-	"progresscap/internal/msr"
 	"progresscap/internal/rapl"
 	"progresscap/internal/stats"
 	"progresscap/internal/trace"
@@ -75,7 +74,7 @@ type NodeStatus struct {
 	Baseline float64 // running estimate of the uncapped rate
 	Done     bool
 	// Failed marks a node the manager's watchdog has fenced: its progress
-	// stream went silent for FailureEpochs. Policies must not allocate
+	// stream went silent for failureEpochs. Policies must not allocate
 	// budget to it; the manager holds it at a quarantine cap instead.
 	Failed bool
 }
@@ -109,23 +108,7 @@ func (EqualSplit) Name() string { return "equal-split" }
 
 // Divide implements Policy.
 func (EqualSplit) Divide(budgetW float64, nodes []NodeStatus) []float64 {
-	caps := make([]float64, len(nodes))
-	alive := 0
-	for _, n := range nodes {
-		if n.allocatable() {
-			alive++
-		}
-	}
-	if alive == 0 {
-		return caps
-	}
-	share := budgetW / float64(alive)
-	for i, n := range nodes {
-		if n.allocatable() {
-			caps[i] = share
-		}
-	}
-	return caps
+	return weightedSplit(budgetW, nodes, func(NodeStatus) float64 { return 1 })
 }
 
 // ProgressAware shifts power toward nodes whose normalized online
@@ -149,29 +132,11 @@ func (p ProgressAware) Divide(budgetW float64, nodes []NodeStatus) []float64 {
 	if gain == 0 {
 		gain = 1
 	}
-	caps := make([]float64, len(nodes))
-	var weights []float64
-	var alive []int
-	for i, n := range nodes {
-		if !n.allocatable() {
-			continue
-		}
+	return weightedSplit(budgetW, nodes, func(n NodeStatus) float64 {
 		// Need grows as normalized progress falls below the job mean.
 		need := 1 + gain*(1-stats.Clamp(n.Normalized(), 0, 2))
-		weights = append(weights, stats.Clamp(need, 0.25, 4))
-		alive = append(alive, i)
-	}
-	if len(alive) == 0 {
-		return caps
-	}
-	var wsum float64
-	for _, w := range weights {
-		wsum += w
-	}
-	for k, i := range alive {
-		caps[i] = budgetW * weights[k] / wsum
-	}
-	return caps
+		return stats.Clamp(need, 0.25, 4)
+	})
 }
 
 // Throughput maximizes the job's *mean* progress by steering power
@@ -186,28 +151,27 @@ func (Throughput) Name() string { return "throughput" }
 
 // Divide implements Policy.
 func (Throughput) Divide(budgetW float64, nodes []NodeStatus) []float64 {
-	caps := make([]float64, len(nodes))
-	var weights []float64
-	var alive []int
-	for i, n := range nodes {
-		if !n.allocatable() {
-			continue
-		}
+	return weightedSplit(budgetW, nodes, func(n NodeStatus) float64 {
 		// Efficiency: normalized progress per watt drawn; unknown power
 		// (first epochs) counts as average.
 		eff := 1.0
 		if n.PowerW > 0 {
 			eff = n.Normalized() / n.PowerW * 100
 		}
-		weights = append(weights, stats.Clamp(eff, 0.25, 4))
-		alive = append(alive, i)
-	}
-	if len(alive) == 0 {
-		return caps
-	}
+		return stats.Clamp(eff, 0.25, 4)
+	})
+}
+
+// weightedSplit divides the budget across the allocatable nodes in
+// proportion to their weights.
+func weightedSplit(budgetW float64, nodes []NodeStatus, weight func(NodeStatus) float64) []float64 {
+	caps := make([]float64, len(nodes))
+	alive := allocatableIdx(nodes)
+	weights := make([]float64, len(alive))
 	var wsum float64
-	for _, w := range weights {
-		wsum += w
+	for k, i := range alive {
+		weights[k] = weight(nodes[i])
+		wsum += weights[k]
 	}
 	for k, i := range alive {
 		caps[i] = budgetW * weights[k] / wsum
@@ -236,49 +200,6 @@ func DecayingBudget(startW, endW float64, over time.Duration) BudgetFunc {
 	}
 }
 
-// Node is one compute node under the manager.
-type Node struct {
-	name     string
-	eng      *engine.Engine
-	capW     float64
-	baseline float64
-	lastRate float64
-	lastPow  float64
-	capTrace *trace.Series
-	result   *engine.Result
-
-	// Watchdog state: a node whose monitor sample count stops moving for
-	// FailureEpochs consecutive epochs is fenced (failed = true); a
-	// fenced node must then keep samples flowing for ProbationEpochs
-	// consecutive epochs before it is un-fenced and gets its budget
-	// share back.
-	failed         bool
-	lastSamples    int
-	stagnantEpochs int
-	freshEpochs    int
-}
-
-// Name returns the node's name.
-func (n *Node) Name() string { return n.name }
-
-// CapTrace returns the caps the manager programmed on this node.
-func (n *Node) CapTrace() *trace.Series { return n.capTrace }
-
-// Result returns the node's engine result (after Run).
-func (n *Node) Result() *engine.Result { return n.result }
-
-// NewNode wraps an engine. The engine must not have its own policy
-// daemon — the cluster manager owns the node's power limit.
-func NewNode(name string, eng *engine.Engine) *Node {
-	n := &Node{
-		name:     name,
-		eng:      eng,
-		capTrace: trace.NewSeries("cluster.cap."+name, "W"),
-	}
-	eng.SetWindowHook(func(ws engine.WindowStats) { n.lastPow = ws.PkgW })
-	return n
-}
-
 // Result is the job-level outcome.
 type Result struct {
 	Elapsed time.Duration
@@ -289,6 +210,7 @@ type Result struct {
 	MeanProgress *trace.Series
 	BudgetTrace  *trace.Series
 	TotalEnergyJ float64
+	WorkUnits    float64
 	Nodes        []*Node
 	Completed    bool
 }
@@ -305,9 +227,10 @@ func (r *Result) MeanMinProgress() float64 {
 	return stats.Mean(vals)
 }
 
-// Manager drives a set of nodes under a job budget.
+// Manager drives a set of nodes under a job budget, programming each
+// node's cap straight into its register every epoch.
 type Manager struct {
-	nodes  []*Node
+	core
 	policy Policy
 	budget BudgetFunc
 	cfg    Config
@@ -316,35 +239,22 @@ type Manager struct {
 	// estimate per-node baselines (default 2).
 	UncappedEpochs int
 
-	// FailureEpochs is how many consecutive epochs a node's progress
-	// stream may stay frozen before the watchdog fences it (default 3).
-	FailureEpochs int
-
-	// ProbationEpochs is how many consecutive epochs a fenced node must
-	// keep samples flowing before the watchdog un-fences it and returns
-	// its budget share (default 3). Without it, a flapping node would
-	// bounce in and out of the allocation every epoch, destabilizing
-	// every healthy node's cap.
-	ProbationEpochs int
-
-	faults *fault.Injector
-
-	// pool fans node advancement across shards each epoch (see shard.go);
-	// its worker bound is set with SetNodeWorkers.
-	pool shardPool
-
 	// policyHook, when non-nil, is consulted each post-calibration epoch
 	// and may swap the division policy at runtime (see SetPolicyHook).
 	policyHook PolicyHook
 
-	epoch    int
-	elapsed  time.Duration
-	res      *Result
-	finished bool
+	epoch int
 
 	// budgetOverride, when >= 0, replaces the BudgetFunc for the next
 	// epochs — how a system-level controller retargets a running job.
 	budgetOverride float64
+
+	// By node index: the manager's feedback, the cap it last programmed,
+	// and the monitor sample count at the last watchdog pass (a count
+	// that moved means the node was heard from).
+	fb      []feedback
+	capW    []float64
+	samples []int
 }
 
 // NewManager assembles a job manager with default Config.
@@ -370,8 +280,10 @@ func NewManagerCfg(cfg Config, policy Policy, budget BudgetFunc, nodes ...*Node)
 		}
 		seen[n.name] = true
 	}
-	return &Manager{nodes: nodes, policy: policy, budget: budget, cfg: cfg,
-		UncappedEpochs: 2, FailureEpochs: 3, ProbationEpochs: 3, budgetOverride: -1}, nil
+	res := newResult("cluster.", nodes)
+	return &Manager{core: core{nodes: nodes, result: &res}, policy: policy, budget: budget, cfg: cfg,
+		UncappedEpochs: 2, budgetOverride: -1,
+		fb: make([]feedback, len(nodes)), capW: make([]float64, len(nodes)), samples: make([]int, len(nodes))}, nil
 }
 
 // SetFaults installs a fault injector whose per-node plans (crash,
@@ -386,14 +298,11 @@ func (m *Manager) SetFaults(inj *fault.Injector) { m.faults = inj }
 // first Step.
 func (m *Manager) SetNodeWorkers(workers int) { m.pool.workers = workers }
 
-// ShardStats returns the shard pool's accumulated counters.
-func (m *Manager) ShardStats() ShardStats { return m.pool.stats }
-
 // FailedNodes lists the nodes currently fenced by the watchdog.
 func (m *Manager) FailedNodes() []string {
 	var out []string
-	for _, n := range m.nodes {
-		if n.failed {
+	for i, n := range m.nodes {
+		if m.fb[i].watch.fenced {
 			out = append(out, n.name)
 		}
 	}
@@ -405,38 +314,29 @@ func (m *Manager) FailedNodes() []string {
 // job). A negative value restores the original function.
 func (m *Manager) SetBudgetOverride(watts float64) { m.budgetOverride = watts }
 
-// Done reports whether every node's workload has completed.
-func (m *Manager) Done() bool {
-	for _, n := range m.nodes {
-		if !n.eng.Done() {
-			return false
-		}
-	}
-	return true
-}
-
 // Statuses snapshots the nodes' current feedback.
-func (m *Manager) Statuses() []NodeStatus { return m.statuses() }
-
-func (m *Manager) ensureResult() {
-	if m.res == nil {
-		m.res = &Result{
-			MinProgress:  trace.NewSeries("cluster.progress.min", "normalized"),
-			MeanProgress: trace.NewSeries("cluster.progress.mean", "normalized"),
-			BudgetTrace:  trace.NewSeries("cluster.budget", "W"),
-			Nodes:        m.nodes,
+func (m *Manager) Statuses() []NodeStatus {
+	out := make([]NodeStatus, len(m.nodes))
+	for i, n := range m.nodes {
+		out[i] = NodeStatus{
+			Name:     n.name,
+			CapW:     m.capW[i],
+			PowerW:   n.lastPow,
+			Rate:     m.fb[i].rate,
+			Baseline: m.fb[i].baseline,
+			Done:     n.eng.Done(),
+			Failed:   m.fb[i].watch.fenced,
 		}
 	}
+	return out
 }
 
 // Step advances the job by one epoch: decide caps, program them, advance
 // every node, collect feedback. It reports whether the job is done.
 func (m *Manager) Step() (bool, error) {
 	if m.finished {
-		return true, fmt.Errorf("cluster: Step after Finish")
+		return true, errStepAfterFinish
 	}
-	m.ensureResult()
-	res := m.res
 	// Every per-epoch series is stamped at the epoch's end instant, so
 	// the budget in force, the caps programmed, and the progress measured
 	// over the same epoch all align on one timestamp.
@@ -447,8 +347,8 @@ func (m *Manager) Step() (bool, error) {
 	if m.budgetOverride >= 0 {
 		budgetW = m.budgetOverride
 	}
-	res.BudgetTrace.Add(end, budgetW)
-	statuses := m.statuses()
+	m.result.BudgetTrace.Add(end, budgetW)
+	statuses := m.Statuses()
 	if m.policyHook != nil && m.epoch >= m.UncappedEpochs {
 		if p := m.policyHook(m.epoch, statuses); p != nil {
 			m.policy = p
@@ -472,209 +372,79 @@ func (m *Manager) Step() (bool, error) {
 	if m.epoch < m.UncappedEpochs {
 		caps = make([]float64, len(m.nodes)) // calibration: uncapped
 	} else {
-		caps = m.policy.Divide(divisible, statuses)
-		if len(caps) != len(m.nodes) {
-			return false, fmt.Errorf("cluster: policy %s returned %d caps for %d nodes",
-				m.policy.Name(), len(caps), len(m.nodes))
+		var err error
+		if caps, err = divide(m.policy, divisible, statuses); err != nil {
+			return false, err
 		}
-		clampCaps(caps, divisible)
 		for i, s := range statuses {
 			if s.Failed && !s.Done {
 				caps[i] = m.cfg.QuarantineCapW
 			}
+			// Floored, every register holds exactly its cap, as the
+			// leased grants do.
+			caps[i] = floorToUnit(caps[i])
 		}
-		floorCaps(caps)
 	}
 	for i, n := range m.nodes {
-		n.capW = caps[i]
-		if err := rapl.WriteLimitRetry(n.eng.Device(), caps[i], 10*time.Millisecond); err != nil {
+		m.capW[i] = caps[i]
+		if err := n.writeCap(caps[i]); err != nil {
 			return false, fmt.Errorf("cluster: programming %s: %w", n.name, err)
 		}
 		n.capTrace.Add(end, caps[i])
 	}
 
-	// 2. Advance every node one epoch, sharded across the pool (engines
-	// are self-contained, so distinct nodes advance concurrently without
-	// observable effect — see shard.go). A crashed node is frozen in
-	// place — it burns no virtual time and produces no reports, which is
-	// exactly what the watchdog must detect from the outside. A slowed
-	// node gets its frequency ceiling applied before it steps. The crash
-	// and ceiling checks are pure window lookups on the node's own plan,
-	// safe inside the parallel section.
-	now := m.elapsed
-	err := m.pool.run(len(m.nodes), func(i int) error {
-		n := m.nodes[i]
-		if n.eng.Done() {
-			return nil
-		}
-		if np := m.nodeFaults(n); np != nil {
-			if np.Crashed(now) {
-				return nil
-			}
-			if frac := np.FreqCeilingFrac(now); frac < 1 {
-				n.eng.SetFreqCeiling(frac * n.eng.MaxFreqMHz())
-			}
-		}
-		if _, err := n.eng.Advance(Epoch); err != nil {
-			return fmt.Errorf("cluster: advancing %s: %w", n.name, err)
-		}
-		return nil
-	})
-	if err != nil {
+	// 2. Advance every node one epoch.
+	if err := m.advance(nil); err != nil {
 		return false, err
 	}
-	m.elapsed += Epoch
 	m.epoch++
 
 	// 3. Collect feedback, run the watchdog, and compute the job
 	// progress metrics over healthy nodes only — a fenced node's frozen
 	// last rate must not drag the job minimum to zero forever.
-	min, mean, alive := 1.0, 0.0, 0
-	for _, n := range m.nodes {
-		m.refresh(n)
-		m.watchdog(n)
-		if n.eng.Done() || n.failed {
-			continue
+	m.recordProgress(func(i int, n *Node) (float64, bool) {
+		f := &m.fb[i]
+		count := len(n.eng.Monitor().Samples())
+		if count > 0 {
+			f.see(n.observedRate())
 		}
-		alive++
-		norm := NodeStatus{Rate: n.lastRate, Baseline: n.baseline}.Normalized()
-		if norm < min {
-			min = norm
+		heard := count > m.samples[i]
+		m.samples[i] = count
+		f.watch.observe(heard, n.eng.Done())
+		if n.eng.Done() || f.watch.fenced {
+			return 0, false
 		}
-		mean += norm
-	}
-	if alive > 0 {
-		res.MinProgress.Add(m.elapsed, min)
-		res.MeanProgress.Add(m.elapsed, mean/float64(alive))
-	}
+		return NodeStatus{Rate: f.rate, Baseline: f.baseline}.Normalized(), true
+	})
 	return m.Done(), nil
 }
 
 // Finish finalizes every node engine and returns the job result.
 func (m *Manager) Finish() (*Result, error) {
-	if m.finished {
-		return nil, fmt.Errorf("cluster: Finish called twice")
+	if err := m.finish(); err != nil {
+		return nil, err
 	}
-	m.finished = true
-	m.ensureResult()
-	res := m.res
-	res.Elapsed = m.elapsed
-	res.Completed = true
-	for _, n := range m.nodes {
-		r, err := n.eng.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: finishing %s: %w", n.name, err)
-		}
-		n.result = r
-		res.TotalEnergyJ += r.EnergyJ
-		if !r.Completed {
-			res.Completed = false
-		}
-	}
-	return res, nil
+	return m.result, nil
 }
 
 // Run advances the job until every node's workload completes or maxDur
 // of virtual time elapses.
 func (m *Manager) Run(maxDur time.Duration) (*Result, error) {
-	for m.elapsed < maxDur {
-		done, err := m.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
+	if err := m.run(maxDur, m.Step); err != nil {
+		return nil, err
 	}
 	return m.Finish()
 }
 
-// statuses snapshots per-node feedback for the policy.
-func (m *Manager) statuses() []NodeStatus {
-	out := make([]NodeStatus, len(m.nodes))
-	for i, n := range m.nodes {
-		out[i] = NodeStatus{
-			Name:     n.name,
-			CapW:     n.capW,
-			PowerW:   n.lastPow,
-			Rate:     n.lastRate,
-			Baseline: n.baseline,
-			Done:     n.eng.Done(),
-			Failed:   n.failed,
-		}
+// divide asks the policy for one cap per node and clamps their sum to
+// the budget.
+func divide(p Policy, budgetW float64, statuses []NodeStatus) ([]float64, error) {
+	caps := p.Divide(budgetW, statuses)
+	if len(caps) != len(statuses) {
+		return nil, fmt.Errorf("cluster: policy %s returned %d caps for %d nodes", p.Name(), len(caps), len(statuses))
 	}
-	return out
-}
-
-// nodeFaults returns the node's fault plan, or nil when no injector is
-// installed or the plan has no entry for this node.
-func (m *Manager) nodeFaults(n *Node) *fault.Node {
-	if m.faults == nil {
-		return nil
-	}
-	return m.faults.Node(n.name)
-}
-
-// watchdog fences a node whose monitor sample count has not moved for
-// FailureEpochs consecutive epochs. A fenced node is un-fenced only
-// after a clean probation: samples flowing for ProbationEpochs
-// consecutive epochs. One fresh window is not enough — a node rebooting
-// in a crash loop emits a burst of reports each time, and handing its
-// budget share back on every burst would whipsaw the healthy nodes'
-// caps. Done nodes are never fenced — a finished stream is silent by
-// design.
-func (m *Manager) watchdog(n *Node) {
-	count := len(n.eng.Monitor().Samples())
-	fresh := count > n.lastSamples
-	n.lastSamples = count
-	if n.eng.Done() {
-		n.failed = false
-		n.stagnantEpochs = 0
-		n.freshEpochs = 0
-		return
-	}
-	if !n.failed {
-		if fresh {
-			n.stagnantEpochs = 0
-			return
-		}
-		n.stagnantEpochs++
-		if n.stagnantEpochs >= m.FailureEpochs {
-			n.failed = true
-			n.freshEpochs = 0
-		}
-		return
-	}
-	if !fresh {
-		n.freshEpochs = 0 // probation restarts on any silent epoch
-		return
-	}
-	n.freshEpochs++
-	if n.freshEpochs >= m.ProbationEpochs {
-		n.failed = false
-		n.stagnantEpochs = 0
-		n.freshEpochs = 0
-	}
-}
-
-// refresh pulls the node's latest window sample out of its monitor and
-// maintains the running baseline estimate (the highest smoothed rate
-// seen, i.e. near-uncapped performance).
-func (m *Manager) refresh(n *Node) {
-	samples := n.eng.Monitor().Samples()
-	if len(samples) == 0 {
-		return
-	}
-	last := samples[len(samples)-1]
-	// Smooth single-window aliasing with the previous window.
-	rate := last.Rate
-	if len(samples) >= 2 {
-		rate = (rate + samples[len(samples)-2].Rate) / 2
-	}
-	n.lastRate = rate
-	if rate > n.baseline {
-		n.baseline = rate
-	}
+	clampCaps(caps, budgetW)
+	return caps, nil
 }
 
 // clampCaps scales the caps down proportionally if they exceed the
@@ -690,18 +460,5 @@ func clampCaps(caps []float64, budgetW float64) {
 	scale := budgetW / sum
 	for i := range caps {
 		caps[i] *= scale
-	}
-}
-
-// floorCaps floors each cap to the RAPL register power unit. The
-// register encodes a cap by rounding to the nearest unit, so an
-// unrepresentable cap would latch up to half a unit above its share —
-// over a fleet, enough for the registers to sum past the budget the
-// division respects. Floored, every register holds exactly its cap, as
-// the leased grants do.
-func floorCaps(caps []float64) {
-	unit := msr.DefaultUnits().PowerUnit()
-	for i, c := range caps {
-		caps[i] = math.Floor(c/unit) * unit
 	}
 }

@@ -27,7 +27,7 @@ func TestPoliciesSkipFailedNodes(t *testing.T) {
 
 // TestNodeCrashDetectedAndRedistributed is the cluster-level acceptance
 // scenario: one of three nodes dies mid-job, the watchdog fences it
-// within FailureEpochs, and its budget share flows to the survivors
+// within failureEpochs, and its budget share flows to the survivors
 // (minus the quarantine cap held on the dead node).
 func TestNodeCrashDetectedAndRedistributed(t *testing.T) {
 	if testing.Short() {
@@ -56,7 +56,7 @@ func TestNodeCrashDetectedAndRedistributed(t *testing.T) {
 		t.Fatalf("FailedNodes() = %v, want [n1]", failed)
 	}
 
-	// The fence must land within FailureEpochs (+1 epoch of detection
+	// The fence must land within failureEpochs (+1 epoch of detection
 	// latency: the crash happens mid-epoch, the cap is programmed at the
 	// start of the next one).
 	var crashed *Node
@@ -76,7 +76,7 @@ func TestNodeCrashDetectedAndRedistributed(t *testing.T) {
 	if fencedAt < 0 {
 		t.Fatal("crashed node never quarantined")
 	}
-	deadline := crashAt + time.Duration(m.FailureEpochs+1)*Epoch
+	deadline := crashAt + time.Duration(failureEpochs+1)*Epoch
 	if fencedAt > deadline {
 		t.Fatalf("fenced at %v, want <= %v", fencedAt, deadline)
 	}
@@ -110,7 +110,7 @@ func TestNodeCrashDetectedAndRedistributed(t *testing.T) {
 }
 
 // TestNodeRecoveryUnfencesAfterProbation: a crashed node that comes back
-// (RecoverAt) is un-fenced only after ProbationEpochs consecutive epochs
+// (RecoverAt) is un-fenced only after probationEpochs consecutive epochs
 // of flowing samples, and then gets its equal budget share back while
 // the survivors drop back to theirs.
 func TestNodeRecoveryUnfencesAfterProbation(t *testing.T) {
@@ -163,12 +163,12 @@ func TestNodeRecoveryUnfencesAfterProbation(t *testing.T) {
 	if unfencedAt < 0 {
 		t.Fatal("recovered node never un-fenced")
 	}
-	// Un-fencing must wait out probation: not before ProbationEpochs of
+	// Un-fencing must wait out probation: not before probationEpochs of
 	// flowing samples after recovery, but within a couple epochs after.
-	if min := recoverAt + time.Duration(m.ProbationEpochs)*Epoch; unfencedAt < min {
+	if min := recoverAt + time.Duration(probationEpochs)*Epoch; unfencedAt < min {
 		t.Fatalf("un-fenced at %v, before the probation floor %v", unfencedAt, min)
 	}
-	if max := recoverAt + time.Duration(m.ProbationEpochs+3)*Epoch; unfencedAt > max {
+	if max := recoverAt + time.Duration(probationEpochs+3)*Epoch; unfencedAt > max {
 		t.Fatalf("un-fenced at %v, want <= %v", unfencedAt, max)
 	}
 

@@ -49,21 +49,7 @@ func (p BinPackSortedWatts) Divide(budgetW float64, nodes []NodeStatus) []float6
 	sort.SliceStable(order, func(a, b int) bool {
 		return nodes[order[a]].PowerW > nodes[order[b]].PowerW
 	})
-	return packCaps(budgetW, nodes, order, p.nodeCap(), p.floor())
-}
-
-func (p BinPackSortedWatts) nodeCap() float64 {
-	if p.NodeCapW > 0 {
-		return p.NodeCapW
-	}
-	return rapl.FirmwareDefaultCapW
-}
-
-func (p BinPackSortedWatts) floor() float64 {
-	if p.FloorW > 0 {
-		return p.FloorW
-	}
-	return DefaultQuarantineCapW
+	return packCaps(budgetW, nodes, order, orDefault(p.NodeCapW, rapl.FirmwareDefaultCapW), orDefault(p.FloorW, DefaultQuarantineCapW))
 }
 
 // MaxGreedyMins fills the single largest demand first, then grows the
@@ -95,21 +81,15 @@ func (p MaxGreedyMins) Divide(budgetW float64, nodes []NodeStatus) []float64 {
 	front := make([]int, 0, len(order))
 	front = append(front, order[maxAt])
 	front = append(front, order[:maxAt]...)
-	return packCaps(budgetW, nodes, front, p.nodeCap(), p.floor())
+	return packCaps(budgetW, nodes, front, orDefault(p.NodeCapW, rapl.FirmwareDefaultCapW), orDefault(p.FloorW, DefaultQuarantineCapW))
 }
 
-func (p MaxGreedyMins) nodeCap() float64 {
-	if p.NodeCapW > 0 {
-		return p.NodeCapW
+// orDefault returns v, or def when v is not positive.
+func orDefault(v, def float64) float64 {
+	if v > 0 {
+		return v
 	}
-	return rapl.FirmwareDefaultCapW
-}
-
-func (p MaxGreedyMins) floor() float64 {
-	if p.FloorW > 0 {
-		return p.FloorW
-	}
-	return DefaultQuarantineCapW
+	return def
 }
 
 // allocatableIdx returns the indices of nodes eligible for budget, in

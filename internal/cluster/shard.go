@@ -2,10 +2,11 @@ package cluster
 
 // Sharded node advancement: the intra-epoch parallelism layer.
 //
-// Both stepping paths (Manager.Step, LeasedCluster.Step) decide caps,
-// program RAPL, and run watchdog/feedback serially — those touch shared
-// policy, lease, and journal state. But advancing the node engines
-// through the epoch is embarrassingly parallel: each engine is a fully
+// Both delivery strategies (Manager.Step, LeasedCluster.Step) decide
+// caps, deliver them, and run watchdog/feedback serially — those touch
+// shared policy, lease, and journal state. But advancing the node engines
+// through the epoch, the epoch core's one advance step (core.advance),
+// is embarrassingly parallel: each engine is a fully
 // self-contained plant (its own device, bus, monitor, fault plan, RNG),
 // so engines never share mutable state and the schedule cannot leak
 // into any simulation result. The shard pool below fans those Advance
